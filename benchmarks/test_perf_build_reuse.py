@@ -20,12 +20,13 @@ import time
 from pathlib import Path
 
 from repro.experiments import (
-    SweepRunner,
+    GridRunner,
+    GridSpec,
     run_comparison,
     run_protocol,
     small_config,
 )
-from repro.experiments import sweep as sweep_module
+from repro.experiments import grid as grid_module
 from repro.overlay.blueprint import NetworkBlueprint, build_count
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_build_reuse.json"
@@ -63,17 +64,17 @@ def _best_of(repeats, fn):
 
 
 def _sweep_seconds(reuse_builds: bool) -> float:
+    spec = GridSpec(
+        base_config=_router_config(),
+        protocols=PROTOCOLS,
+        scenarios=("baseline",),
+        seeds=SEEDS,
+        max_queries=QUERIES,
+    )
+
     def run_grid():
-        sweep_module._BLUEPRINT_CACHE.clear()
-        SweepRunner(
-            base_config=_router_config(),
-            protocols=PROTOCOLS,
-            scenarios=("baseline",),
-            seeds=SEEDS,
-            max_queries=QUERIES,
-            workers=1,
-            reuse_builds=reuse_builds,
-        ).run()
+        grid_module._BLUEPRINT_CACHE.clear()
+        GridRunner(spec, workers=1, reuse_builds=reuse_builds).run()
 
     return _best_of(2, run_grid)
 
@@ -114,7 +115,7 @@ def test_perf_build_reuse(show):
     # -- sweep wall-clock: scratch vs --reuse-builds ----------------------
     scratch_wall_s = _sweep_seconds(reuse_builds=False)
     reuse_wall_s = _sweep_seconds(reuse_builds=True)
-    sweep_module._BLUEPRINT_CACHE.clear()
+    grid_module._BLUEPRINT_CACHE.clear()
     speedup = scratch_wall_s / reuse_wall_s
 
     payload = {

@@ -621,7 +621,7 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
     from .analysis.sweep_report import render_sweep_report
-    from .experiments.sweep import SweepRunner
+    from .experiments import GridRunner, GridSpec
     from .scenarios import SCENARIO_REGISTRY, scenario_names
 
     if args.list:
@@ -632,15 +632,16 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     scenarios = args.scenarios if args.scenarios else scenario_names()
     base = small_config() if args.config == "small" else paper_config()
     try:
-        runner = SweepRunner(
+        spec = GridSpec(
             base_config=base,
             protocols=args.protocols,
             scenarios=scenarios,
             seeds=args.seeds,
             max_queries=args.queries,
             bucket_width=args.bucket,
-            workers=args.workers,
-            reuse_builds=args.reuse_builds,
+        )
+        runner = GridRunner(
+            spec, workers=args.workers, reuse_builds=args.reuse_builds
         )
     except ValueError as error:
         print(f"error: {error}", file=out)

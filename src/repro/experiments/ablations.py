@@ -1,8 +1,12 @@
-"""Ablation experiments (DESIGN.md A1-A7 + the §6 extension).
+"""Ablation experiments (DESIGN.md A1-A8 + the §6 extensions).
 
 Each ablation sweeps one design parameter the paper discusses and
-reports how the headline metrics move.  They all reuse the same
-runner as the figures, so results are directly comparable.
+reports how the headline metrics move.  A1-A8 and EXT2 are experiment
+grids: the swept parameter is a config-override axis (for EXT2 a
+scenario axis) of a :class:`~repro.experiments.grid.GridSpec`, run
+through :func:`~repro.experiments.grid.execute_cells` with build reuse,
+so each distinct topology is built once and results are directly
+comparable with every other grid.
 
 - A1 ``ablate_landmarks`` — §5.1's landmark-count discussion (4
   landmarks → 24 locIds vs 5 → 120: too many localities scatter peers
@@ -19,19 +23,25 @@ runner as the figures, so results are directly comparable.
   stay within ~0.132 Kb;
 - A7 ``ablate_group_count`` — the Dicas M parameter: cache
   concentration vs routing reachability;
+- A8 ``ablate_substrate`` — latency model × peer placement;
 - EXT ``ablate_locaware_routing`` — §6 future work: location-aware
-  *query routing* on top of Locaware.
+  *query routing* on top of Locaware (a protocol flag, not a config
+  field, so two direct runs on one shared blueprint);
+- EXT2 ``ablate_popularity_shift`` — popularity drift via the
+  ``popularity-shift`` scenario.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..analysis.tables import format_table
+from ..overlay.blueprint import NetworkBlueprint
 from ..sim.config import SimulationConfig
+from .grid import GridSpec, _cached_blueprint, execute_cells
 from .runner import ProtocolRun, run_protocol
 from .setup import paper_config
 
@@ -69,19 +79,36 @@ class AblationResult:
         return [row[index] for row in self.rows]
 
 
-def _run(
-    config: SimulationConfig,
-    protocol: str,
+def _grid_rows(
+    base: SimulationConfig,
     max_queries: int,
-    location_aware_routing: bool = False,
-) -> ProtocolRun:
-    return run_protocol(
-        config,
-        protocol,
+    protocols: Sequence[str] = ("locaware",),
+    config_overrides: Sequence[Mapping[str, Any]] = ({},),
+    scenarios: Sequence[Any] = ("baseline",),
+) -> list[list[ProtocolRun]]:
+    """Run the ablation's grid on ``base``'s seed and return its rows.
+
+    One row per (scenario, config override) in declared order, each
+    holding one run per protocol in declared order.  Build reuse
+    reorders execution, so runs are looked up by cell, never by
+    completion order.
+    """
+    spec = GridSpec(
+        base_config=base,
+        protocols=protocols,
+        scenarios=scenarios,
+        config_overrides=config_overrides,
+        seeds=(base.seed,),
         max_queries=max_queries,
         bucket_width=max(1, max_queries // 4),
-        location_aware_routing=location_aware_routing,
     )
+    cells = spec.expand()
+    runs = dict(execute_cells(spec, cells, reuse_builds=True))
+    width = len(spec.protocols)
+    return [
+        [runs[cell] for cell in cells[start : start + width]]
+        for start in range(0, len(cells), width)
+    ]
 
 
 def ablate_landmarks(
@@ -96,24 +123,18 @@ def ablate_landmarks(
         "landmark count (locId granularity, §5.1 discussion)",
         ["landmarks", "locIds", "peers/locId", "locId matches", "success", "distance_ms"],
     )
-    for count in counts:
-        config = base.replace(num_landmarks=count)
-        run = _run(config, "locaware", max_queries)
-        snapshot = run.metric_snapshot
-        from ..net.underlay import Underlay  # local import to avoid cycles
-        from ..sim.rng import RandomStreams
-
-        underlay = Underlay.build(
-            config.num_peers,
-            RandomStreams(config.seed).stream("underlay"),
-            num_landmarks=count,
-        )
+    rows = _grid_rows(
+        base, max_queries, config_overrides=[{"num_landmarks": c} for c in counts]
+    )
+    for count, (run,) in zip(counts, rows):
+        # The world the run used: the cached blueprint it instantiated.
+        underlay = _cached_blueprint(run.config).underlay
         result.rows.append(
             [
                 count,
                 math.factorial(count),
                 round(underlay.mean_peers_per_locid(), 1),
-                int(snapshot.get("counter.selection.locid_match", 0)),
+                int(run.metric_snapshot.get("counter.selection.locid_match", 0)),
                 run.summary.success_rate,
                 run.summary.mean_download_distance_ms,
             ]
@@ -136,14 +157,15 @@ def ablate_bloom_size(
     from ..bloom.params import false_positive_rate
 
     expected_keywords = base.index_capacity * base.keywords_per_file
-    for bits in sizes:
-        config = base.replace(bloom_bits=bits)
-        run = _run(config, "locaware", max_queries)
+    rows = _grid_rows(
+        base, max_queries, config_overrides=[{"bloom_bits": b} for b in sizes]
+    )
+    for bits, (run,) in zip(sizes, rows):
         snapshot = run.metric_snapshot
         result.rows.append(
             [
                 bits,
-                round(false_positive_rate(bits, config.bloom_hashes, expected_keywords), 4),
+                round(false_positive_rate(bits, base.bloom_hashes, expected_keywords), 4),
                 int(snapshot.get("counter.routing.bf_match", 0)),
                 run.summary.success_rate,
                 run.summary.mean_messages,
@@ -166,13 +188,14 @@ def ablate_cache_capacity(
         "response-index capacity (cache pressure; Dicas-Keys duplication)",
         ["capacity"] + [f"{p} success" for p in protocols],
     )
-    for capacity in capacities:
-        config = base.replace(index_capacity=capacity)
-        row: list[Any] = [capacity]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
-            row.append(run.summary.success_rate)
-        result.rows.append(row)
+    rows = _grid_rows(
+        base,
+        max_queries,
+        protocols,
+        config_overrides=[{"index_capacity": c} for c in capacities],
+    )
+    for capacity, runs in zip(capacities, rows):
+        result.rows.append([capacity] + [run.summary.success_rate for run in runs])
     return result
 
 
@@ -188,11 +211,12 @@ def ablate_ttl(
     for protocol in protocols:
         headers += [f"{protocol} success", f"{protocol} msgs"]
     result = AblationResult("A4", "TTL bound (scope vs traffic)", headers)
-    for ttl in ttls:
-        config = base.replace(ttl=ttl)
+    rows = _grid_rows(
+        base, max_queries, protocols, config_overrides=[{"ttl": t} for t in ttls]
+    )
+    for ttl, runs in zip(ttls, rows):
         row: list[Any] = [ttl]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
+        for run in runs:
             row += [run.summary.success_rate, run.summary.mean_messages]
         result.rows.append(row)
     return result
@@ -213,22 +237,20 @@ def ablate_churn(
     result = AblationResult(
         "A5", "churn (index staleness; §4.1.2 motivation)", headers
     )
-    for session in mean_sessions:
-        if session is None:
-            config = base.replace(churn_enabled=False)
-            label: Any = "off"
-        else:
-            config = base.replace(
-                churn_enabled=True,
-                mean_session_s=session,
-                mean_downtime_s=session / 4.0,
-            )
-            label = session
-        row: list[Any] = [label]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
-            row.append(run.summary.success_rate)
-        result.rows.append(row)
+    overrides = [
+        {"churn_enabled": False}
+        if session is None
+        else {
+            "churn_enabled": True,
+            "mean_session_s": session,
+            "mean_downtime_s": session / 4.0,
+        }
+        for session in mean_sessions
+    ]
+    rows = _grid_rows(base, max_queries, protocols, config_overrides=overrides)
+    for session, runs in zip(mean_sessions, rows):
+        label: Any = "off" if session is None else session
+        result.rows.append([label] + [run.summary.success_rate for run in runs])
     return result
 
 
@@ -238,7 +260,7 @@ def measure_bloom_overhead(
 ) -> AblationResult:
     """A6 — §4.2 footnote: a BF update is at most 12 × 11 = 132 bits."""
     base = base if base is not None else paper_config()
-    run = _run(base, "locaware", max_queries)
+    [[run]] = _grid_rows(base, max_queries)
     snapshot = run.metric_snapshot
     mean_bits = snapshot.get("summary.bloom.update_bits.mean", math.nan)
     update_count = snapshot.get("summary.bloom.update_bits.count", 0.0)
@@ -274,11 +296,15 @@ def ablate_group_count(
     for protocol in protocols:
         headers += [f"{protocol} success", f"{protocol} msgs"]
     result = AblationResult("A7", "group count M (Dicas parameter)", headers)
-    for m in group_counts:
-        config = base.replace(group_count=m)
+    rows = _grid_rows(
+        base,
+        max_queries,
+        protocols,
+        config_overrides=[{"group_count": m} for m in group_counts],
+    )
+    for m, runs in zip(group_counts, rows):
         row: list[Any] = [m]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
+        for run in runs:
             row += [run.summary.success_rate, run.summary.mean_messages]
         result.rows.append(row)
     return result
@@ -306,16 +332,23 @@ def ablate_substrate(
         "A8", "substrate sensitivity (latency model x placement)", headers
     )
     combos = [
-        ("euclidean/clustered", "euclidean", "clustered"),
-        ("euclidean/uniform", "euclidean", "uniform"),
-        ("router/clustered", "router", "clustered"),
-        ("router/uniform", "router", "uniform"),
+        ("euclidean", "clustered"),
+        ("euclidean", "uniform"),
+        ("router", "clustered"),
+        ("router", "uniform"),
     ]
-    for label, model, placement in combos:
-        config = base.replace(latency_model=model, peer_placement=placement)
-        row: list[Any] = [label]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
+    rows = _grid_rows(
+        base,
+        max_queries,
+        protocols,
+        config_overrides=[
+            {"latency_model": model, "peer_placement": placement}
+            for model, placement in combos
+        ],
+    )
+    for (model, placement), runs in zip(combos, rows):
+        row: list[Any] = [f"{model}/{placement}"]
+        for run in runs:
             row += [
                 run.summary.success_rate,
                 run.summary.mean_download_distance_ms,
@@ -333,8 +366,9 @@ def ablate_popularity_shift(
 ) -> AblationResult:
     """EXT2 — popularity drift (temporal-locality stress).
 
-    Re-draws the Zipf rank assignment every ``interval`` virtual
-    seconds (``None`` = stationary).  Index caches chase a moving
+    Runs the ``popularity-shift`` scenario, which re-draws the Zipf
+    rank assignment every ``interval`` virtual seconds (``None`` =
+    stationary, the baseline scenario).  Index caches chase a moving
     popular set; §4.1.2's recency-based replacement is the mechanism
     that lets them keep up.
     """
@@ -343,18 +377,16 @@ def ablate_popularity_shift(
     result = AblationResult(
         "EXT2", "popularity drift (shifting Zipf workload)", headers
     )
-    for interval in shift_intervals:
-        row: list[Any] = ["stationary" if interval is None else interval]
-        for protocol in protocols:
-            run = run_protocol(
-                base,
-                protocol,
-                max_queries=max_queries,
-                bucket_width=max(1, max_queries // 4),
-                popularity_shift_s=interval,
-            )
-            row.append(run.summary.success_rate)
-        result.rows.append(row)
+    scenarios = [
+        "baseline"
+        if interval is None
+        else ("popularity-shift", {"shift_interval_s": interval})
+        for interval in shift_intervals
+    ]
+    rows = _grid_rows(base, max_queries, protocols, scenarios=scenarios)
+    for interval, runs in zip(shift_intervals, rows):
+        label: Any = "stationary" if interval is None else interval
+        result.rows.append([label] + [run.summary.success_rate for run in runs])
     return result
 
 
@@ -365,7 +397,9 @@ def ablate_locaware_routing(
     """EXT — §6 future work: location-aware query routing.
 
     Compares stock Locaware against the variant that biases equally
-    eligible next hops towards the requestor's locality.
+    eligible next hops towards the requestor's locality.  The variant
+    is a protocol flag, not a config field, so this is two direct runs
+    on one shared blueprint rather than a grid.
     """
     base = base if base is not None else paper_config()
     result = AblationResult(
@@ -373,16 +407,23 @@ def ablate_locaware_routing(
         "location-aware query routing (§6 future work)",
         ["variant", "success", "distance_ms", "msgs/query", "locId matches"],
     )
+    blueprint = NetworkBlueprint.build(base)
     for label, flag in (("locaware", False), ("locaware+locrouting", True)):
-        run = _run(base, "locaware", max_queries, location_aware_routing=flag)
-        snapshot = run.metric_snapshot
+        run = run_protocol(
+            base,
+            "locaware",
+            max_queries=max_queries,
+            bucket_width=max(1, max_queries // 4),
+            location_aware_routing=flag,
+            blueprint=blueprint,
+        )
         result.rows.append(
             [
                 label,
                 run.summary.success_rate,
                 run.summary.mean_download_distance_ms,
                 run.summary.mean_messages,
-                int(snapshot.get("counter.selection.locid_match", 0)),
+                int(run.metric_snapshot.get("counter.selection.locid_match", 0)),
             ]
         )
     return result

@@ -12,11 +12,11 @@ cell under its content-addressed key and *skips* every cell the store
 already holds.  An interrupted 500-cell sweep restarts at full speed;
 a repeated one costs zero executions.
 
-This module is also the single sweep engine: :class:`~repro.
-experiments.sweep.SweepRunner` and :func:`~repro.experiments.
-robustness.run_seed_sweep` both drive their cells through
-:func:`execute_cells`, so serial/parallel equivalence and blueprint
-reuse are implemented (and tested) exactly once.
+This module is also the single sweep engine: ``repro sweep``, the
+ablation drivers in :mod:`repro.experiments.ablations` and
+:func:`~repro.experiments.robustness.run_seed_sweep` all drive their
+cells through :func:`execute_cells`, so serial/parallel equivalence and
+blueprint reuse are implemented (and tested) exactly once.
 
 Usage::
 
@@ -487,11 +487,10 @@ class GridSpec:
 class GridReport:
     """Every cell's results plus the spec and cache accounting.
 
-    Duck-type compatible with :class:`~repro.experiments.sweep.
-    SweepReport` for :func:`repro.analysis.aggregate_sweep` /
-    :func:`repro.analysis.render_sweep_report`: ``scenarios`` exposes
-    *row labels* (scenario + params + overrides), one per (scenario,
-    config-override) combination.
+    The shape :func:`repro.analysis.aggregate_sweep` /
+    :func:`repro.analysis.render_sweep_report` consume: ``scenarios``
+    exposes *row labels* (scenario + params + overrides), one per
+    (scenario, config-override) combination.
     """
 
     spec: GridSpec

@@ -1,13 +1,14 @@
 """The built-in scenario library.
 
-Six registered scenarios (``repro sweep --list`` prints this table):
+Seven registered scenarios (``repro sweep --list`` prints this table):
 
 - ``baseline``         — the paper's §5.1 stationary Zipf workload;
 - ``flash-crowd``      — sudden popularity spike on one catalog file;
 - ``regional-hotspot`` — one locId's peers hammer a small hot set;
 - ``churn-storm``      — session times collapse mid-run, then recover;
 - ``cold-start``       — sparse natural replication; measures warm-up;
-- ``diurnal``          — sinusoidal query-rate modulation.
+- ``diurnal``          — sinusoidal query-rate modulation;
+- ``popularity-shift`` — the Zipf popular set rotates at fixed intervals.
 
 Each scenario composes :class:`~repro.sim.config.SimulationConfig`
 overrides with a workload from :mod:`repro.scenarios.workloads`.  The
@@ -19,8 +20,8 @@ touching the registry.
 
 from __future__ import annotations
 
-
 from ..sim.config import SimulationConfig
+from ..workload.shifting import ShiftingZipfWorkload
 from .base import (
     Scenario,
     ScenarioContext,
@@ -40,6 +41,7 @@ __all__ = [
     "ChurnStorm",
     "ColdStart",
     "Diurnal",
+    "PopularityShift",
 ]
 
 
@@ -230,4 +232,35 @@ class Diurnal(Scenario):
             max_queries=max_queries,
             period_s=self.period_s,
             amplitude=self.amplitude,
+        )
+
+
+@register_scenario
+class PopularityShift(Scenario):
+    """The popular set drifts: Zipf ranks are re-drawn periodically.
+
+    Index caches chase a moving popular set; §4.1.2's recency-based
+    replacement is the mechanism that lets them keep up (ablation
+    EXT2).  ``shift_interval_s=None`` (the default) re-draws every
+    quarter of the run's expected horizon, so every run sees drift
+    whatever its scale.
+    """
+
+    name = "popularity-shift"
+    description = "Zipf popular set re-drawn at fixed intervals"
+
+    def __init__(self, shift_interval_s: float | None = None) -> None:
+        if shift_interval_s is not None and shift_interval_s <= 0:
+            raise ValueError(
+                f"shift_interval_s must be positive, got {shift_interval_s}"
+            )
+        self.shift_interval_s = shift_interval_s
+
+    def build_workload(self, network, issue, max_queries):
+        interval = self.shift_interval_s
+        if interval is None:
+            horizon = expected_horizon_s(network.config, max_queries)
+            interval = 0.25 * horizon if horizon is not None else 600.0
+        return ShiftingZipfWorkload(
+            network, issue, shift_interval_s=interval, max_queries=max_queries
         )

@@ -119,15 +119,16 @@ class TestGridReportDocuments:
 
     @pytest.fixture(scope="class")
     def sweep_report(self):
-        from repro.experiments import SweepRunner, small_config
+        from repro.experiments import GridRunner, GridSpec, small_config
 
-        return SweepRunner(
+        spec = GridSpec(
             base_config=small_config(seed=3).replace(query_rate_per_peer=0.02),
             protocols=("flooding", "locaware"),
             scenarios=("baseline", "diurnal"),
             seeds=(1, 2),
             max_queries=12,
-        ).run()
+        )
+        return GridRunner(spec).run()
 
     def _roundtrip(self, report):
         from repro.analysis import load_grid_report_document, save_grid_report

@@ -60,7 +60,7 @@ class TestSweepCommand:
         assert code == 0
         for name in (
             "baseline", "flash-crowd", "regional-hotspot",
-            "churn-storm", "cold-start", "diurnal",
+            "churn-storm", "cold-start", "diurnal", "popularity-shift",
         ):
             assert name in text
 
@@ -73,14 +73,16 @@ class TestSweepCommand:
     def test_sweep_rejects_duplicate_seeds_cleanly(self):
         code, text = run_cli("sweep", "--seeds", "1", "1", "--queries", "5")
         assert code == 2
-        assert "unique" in text
+        assert "duplicate entries on the seed axis" in text
+        assert "[1]" in text
 
     def test_sweep_rejects_duplicate_protocols_cleanly(self):
         code, text = run_cli(
             "sweep", "--protocols", "flooding", "flooding", "--queries", "5"
         )
         assert code == 2
-        assert "protocols must be unique" in text
+        assert "duplicate entries on the protocol axis" in text
+        assert "['flooding']" in text
 
     def test_seed_sweep_rejects_duplicate_seeds_cleanly(self):
         code, text = run_cli("seed-sweep", "--seeds", "1", "1", "--queries", "5")

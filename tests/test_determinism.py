@@ -6,7 +6,7 @@ Four guarantees are locked in here:
    (and every registered scenario), two ``run_protocol`` calls with the
    same seed produce identical outcomes, summaries, and metric
    snapshots.
-2. **Parallel equivalence** — the multiprocessing ``SweepRunner``
+2. **Parallel equivalence** — a multiprocessing ``GridRunner``
    reproduces the serial (``workers=1``) results cell for cell,
    byte-identically once serialised.
 3. **Blueprint equivalence** — a run instantiated from a cached
@@ -29,10 +29,10 @@ from repro.experiments import (
     GridRunner,
     GridSpec,
     PROTOCOL_REGISTRY,
-    SweepRunner,
     run_protocol,
     small_config,
 )
+from repro.experiments.grid import ScenarioSpec
 from repro.overlay import NetworkBlueprint
 from repro.scenarios import get_scenario, make_scenario, scenario_names
 
@@ -136,12 +136,9 @@ class TestSweepParallelEquivalence:
 
     @pytest.fixture(scope="class")
     def serial_and_parallel(self):
-        serial = SweepRunner(
-            base_config=_config(), workers=1, **self.GRID
-        ).run()
-        parallel = SweepRunner(
-            base_config=_config(), workers=3, **self.GRID
-        ).run()
+        spec = GridSpec(base_config=_config(), **self.GRID)
+        serial = GridRunner(spec, workers=1).run()
+        parallel = GridRunner(spec, workers=3).run()
         return serial, parallel
 
     def test_same_cells(self, serial_and_parallel):
@@ -325,12 +322,9 @@ class TestBlueprintEquivalence:
             seeds=(3, 4),
             max_queries=25,
         )
-        scratch_serial = SweepRunner(
-            base_config=_config(), workers=1, reuse_builds=False, **grid
-        ).run()
-        reuse_parallel = SweepRunner(
-            base_config=_config(), workers=3, reuse_builds=True, **grid
-        ).run()
+        spec = GridSpec(base_config=_config(), **grid)
+        scratch_serial = GridRunner(spec, workers=1, reuse_builds=False).run()
+        reuse_parallel = GridRunner(spec, workers=3, reuse_builds=True).run()
         assert set(scratch_serial.runs) == set(reuse_parallel.runs)
         for cell, scratch_run in scratch_serial.runs.items():
             assert run_fingerprint(scratch_run) == run_fingerprint(
@@ -387,14 +381,15 @@ class TestTelemetryNeutrality:
 
     def test_workload_shift_emits_are_inert(self, tmp_path):
         """The guarded workload.shift emit site changes no bytes."""
+        shift = ScenarioSpec.parse("popularity-shift:shift_interval_s=5.0").make()
         untraced = run_protocol(
             _config(), "locaware", max_queries=40, bucket_width=20,
-            popularity_shift_s=5.0, collect_telemetry=False,
+            scenario=shift, collect_telemetry=False,
         )
         trace = tmp_path / "shift.jsonl"
         traced = run_protocol(
             _config(), "locaware", max_queries=40, bucket_width=20,
-            popularity_shift_s=5.0, trace_path=trace,
+            scenario=shift, trace_path=trace,
         )
         assert run_fingerprint(untraced) == run_fingerprint(traced)
         kinds = {

@@ -4,6 +4,7 @@
 import pytest
 
 from repro.experiments import small_config
+from repro.experiments import grid as grid_module
 from repro.experiments.ablations import (
     AblationResult,
     ablate_bloom_size,
@@ -12,9 +13,12 @@ from repro.experiments.ablations import (
     ablate_group_count,
     ablate_landmarks,
     ablate_locaware_routing,
+    ablate_popularity_shift,
+    ablate_substrate,
     ablate_ttl,
     measure_bloom_overhead,
 )
+from repro.overlay.blueprint import NetworkBlueprint, build_count
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +93,55 @@ class TestSweeps:
         assert result.column("variant") == ["locaware", "locaware+locrouting"]
         for rate in result.column("success"):
             assert 0.0 <= rate <= 1.0
+
+
+class TestGridExecution:
+    """Config-driven ablations run as grids: one build per topology,
+    rows in declared order, columns describing the world that ran."""
+
+    def test_landmark_column_describes_the_run_world(self):
+        """peers/locId comes from the run's own underlay, so latency
+        model, latency bounds and placement all reach it."""
+        base = small_config().replace(
+            latency_model="router", min_latency_ms=20.0, max_latency_ms=300.0
+        )
+        counts = (3, 5)
+        result = ablate_landmarks(base, max_queries=10, counts=counts)
+        expected = [
+            round(
+                NetworkBlueprint.build(base.replace(num_landmarks=count))
+                .underlay.mean_peers_per_locid(),
+                1,
+            )
+            for count in counts
+        ]
+        assert result.column("peers/locId") == expected
+
+    @pytest.mark.parametrize(
+        "driver, builds",
+        [
+            (ablate_landmarks, 4),
+            (ablate_bloom_size, 1),
+            (ablate_cache_capacity, 1),
+            (ablate_ttl, 1),
+            (ablate_churn, 1),
+            (measure_bloom_overhead, 1),
+            (ablate_group_count, 4),
+            (ablate_substrate, 4),
+            (ablate_locaware_routing, 1),
+            (ablate_popularity_shift, 1),
+        ],
+        ids=["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "EXT", "EXT2"],
+    )
+    def test_one_build_per_distinct_topology(self, driver, builds):
+        grid_module._BLUEPRINT_CACHE.clear()
+        before = build_count()
+        driver(small_config(), max_queries=10)
+        assert build_count() - before == builds
+        grid_module._BLUEPRINT_CACHE.clear()
+
+    def test_rows_follow_declared_order_not_execution_order(self, base):
+        forward = ablate_ttl(base, max_queries=60, ttls=(2, 5))
+        backward = ablate_ttl(base, max_queries=60, ttls=(5, 2))
+        assert backward.column("ttl") == [5, 2]
+        assert backward.rows == forward.rows[::-1]

@@ -1,66 +1,77 @@
-"""Unit tests for the protocol × scenario × seed sweep runner."""
+"""Unit tests for protocol × scenario × seed sweeps on the grid engine.
+
+``repro sweep`` runs a :class:`GridSpec` through a storeless
+:class:`GridRunner`; these tests pin the behaviours a sweep relies on.
+"""
 
 import pytest
 
 from repro.analysis import aggregate_sweep, render_sweep_report
-from repro.experiments import GridSpec, SweepCell, SweepRunner, small_config
+from repro.experiments import GridCell, GridRunner, GridSpec, small_config
+from repro.experiments import grid as grid_module
+from repro.experiments.grid import ScenarioSpec, _cached_blueprint
 
 
-def _runner(**overrides):
+def _spec(**overrides):
     defaults = dict(
         base_config=small_config(seed=1).replace(query_rate_per_peer=0.02),
         protocols=("flooding", "locaware"),
         scenarios=("baseline", "diurnal"),
         seeds=(1, 2),
         max_queries=15,
-        workers=1,
     )
     defaults.update(overrides)
-    return SweepRunner(**defaults)
+    return GridSpec(**defaults)
+
+
+def _cell(protocol, scenario, seed):
+    return GridCell(
+        protocol=protocol, scenario=ScenarioSpec(scenario), overrides=(), seed=seed
+    )
 
 
 class TestValidation:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            _runner(protocols=("gossip",))
+            _spec(protocols=("gossip",))
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            _runner(scenarios=("meteor-strike",))
+            _spec(scenarios=("meteor-strike",))
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
-            _runner(protocols=())
+            _spec(protocols=())
         with pytest.raises(ValueError):
-            _runner(scenarios=())
+            _spec(scenarios=())
         with pytest.raises(ValueError):
-            _runner(seeds=())
+            _spec(seeds=())
 
     def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            _runner(seeds=(1, 1))
+        with pytest.raises(ValueError, match="duplicate entries"):
+            _spec(seeds=(1, 1))
 
     def test_duplicate_protocols_rejected_at_construction(self):
-        """Duplicates must fail in __init__ (where the CLI catches
-        them), not at run() time via the underlying GridSpec."""
-        with pytest.raises(ValueError, match="protocols must be unique"):
-            _runner(protocols=("flooding", "flooding"))
+        """Duplicates fail when the spec is built (where ``repro sweep``
+        catches them), before any runner exists."""
+        with pytest.raises(ValueError, match="duplicate entries.*\\['flooding'\\]"):
+            _spec(protocols=("flooding", "flooding"))
 
     def test_duplicate_scenarios_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="scenarios must be unique"):
-            _runner(scenarios=("baseline", "baseline"))
+        with pytest.raises(ValueError, match="duplicate entries.*\\['baseline'\\]"):
+            _spec(scenarios=("baseline", "baseline"))
 
     def test_bad_workers_and_queries_rejected(self):
-        with pytest.raises(ValueError):
-            _runner(workers=0)
-        with pytest.raises(ValueError):
-            _runner(max_queries=0)
+        with pytest.raises(ValueError, match="workers"):
+            GridRunner(_spec(), workers=0)
+        with pytest.raises(ValueError, match="max_queries"):
+            _spec(max_queries=0)
         with pytest.raises(ValueError, match="bucket_width"):
-            _runner(bucket_width=0)
+            _spec(bucket_width=0)
 
     def test_default_bucket_width(self):
-        assert _runner(max_queries=80).bucket_width == 10
-        assert _runner(max_queries=4).bucket_width == 1
+        assert _spec(max_queries=80).bucket_width == 10
+        assert _spec(max_queries=4).bucket_width == 1
 
 
 class TestDegenerateGrids:
@@ -165,26 +176,25 @@ class TestDegenerateGrids:
 
 class TestGrid:
     def test_cells_cover_full_grid_in_order(self):
-        runner = _runner()
-        cells = runner.cells()
+        cells = _spec().expand()
         assert len(cells) == 2 * 2 * 2
-        assert cells[0] == SweepCell("flooding", "baseline", 1)
-        assert cells[1] == SweepCell("flooding", "baseline", 2)
-        assert cells[-1] == SweepCell("locaware", "diurnal", 2)
+        assert cells[0] == _cell("flooding", "baseline", 1)
+        assert cells[1] == _cell("flooding", "baseline", 2)
+        assert cells[-1] == _cell("locaware", "diurnal", 2)
         assert len(set(cells)) == len(cells)
 
 
 class TestRun:
     @pytest.fixture(scope="class")
     def report(self):
-        return _runner().run()
+        return GridRunner(_spec()).run()
 
     def test_every_cell_has_a_run(self, report):
         assert report.num_cells == 8
-        for cell in _runner().cells():
+        for cell in _spec().expand():
             run = report.runs[cell]
             assert run.protocol_name == cell.protocol
-            assert run.scenario_name == cell.scenario
+            assert run.scenario_name == cell.scenario.name
             assert run.config.seed == cell.seed
 
     def test_accessors(self, report):
@@ -198,16 +208,16 @@ class TestRun:
 
     def test_progress_lines_one_per_cell(self):
         lines = []
-        _runner(scenarios=("baseline",), seeds=(1,)).run(progress=lines.append)
+        GridRunner(_spec(scenarios=("baseline",), seeds=(1,))).run(
+            progress=lines.append
+        )
         assert len(lines) == 2
         assert "[1/2]" in lines[0] and "[2/2]" in lines[1]
         assert "baseline" in lines[0]
 
     def test_workers_capped_by_cells(self):
-        report = _runner(
-            protocols=("flooding",), scenarios=("baseline",), seeds=(1,),
-            workers=8,
-        ).run()
+        spec = _spec(protocols=("flooding",), scenarios=("baseline",), seeds=(1,))
+        report = GridRunner(spec, workers=8).run()
         assert report.num_cells == 1
 
     def test_aggregate_rows(self, report):
@@ -232,36 +242,34 @@ class TestRun:
 
 class TestReuseBuilds:
     def test_reuse_builds_default_off(self):
-        assert _runner().reuse_builds is False
+        assert GridRunner(_spec()).reuse_builds is False
 
     def test_reuse_builds_caches_one_build_per_topology(self):
-        from repro.experiments import sweep as sweep_module
         from repro.overlay.blueprint import build_count
 
-        sweep_module._BLUEPRINT_CACHE.clear()
-        runner = _runner(
+        grid_module._BLUEPRINT_CACHE.clear()
+        spec = _spec(
             protocols=("flooding", "dicas", "locaware"),
             scenarios=("baseline",),
             seeds=(21, 22),
-            reuse_builds=True,
         )
         before = build_count()
-        report = runner.run()
+        report = GridRunner(spec, reuse_builds=True).run()
         # Serial reuse: one build per distinct (scenario, seed) topology,
         # shared by all three protocols of the row.
-        assert build_count() - before == len(runner.seeds)
+        assert build_count() - before == len(spec.seeds)
         assert report.num_cells == 3 * 2
-        sweep_module._BLUEPRINT_CACHE.clear()
+        grid_module._BLUEPRINT_CACHE.clear()
 
     def test_reuse_builds_matches_scratch(self):
-        grid = dict(
+        spec = _spec(
             protocols=("flooding", "locaware"),
             scenarios=("baseline", "cold-start"),
             seeds=(5, 6),
             max_queries=12,
         )
-        scratch = _runner(reuse_builds=False, **grid).run()
-        reused = _runner(reuse_builds=True, **grid).run()
+        scratch = GridRunner(spec, reuse_builds=False).run()
+        reused = GridRunner(spec, reuse_builds=True).run()
         assert set(scratch.runs) == set(reused.runs)
         for cell, run in scratch.runs.items():
             other = reused.runs[cell]
@@ -270,31 +278,25 @@ class TestReuseBuilds:
 
     def test_reuse_builds_progress_still_one_line_per_cell(self):
         lines = []
-        runner = _runner(reuse_builds=True)
-        runner.run(progress=lines.append)
-        assert len(lines) == len(runner.cells())
+        spec = _spec()
+        GridRunner(spec, reuse_builds=True).run(progress=lines.append)
+        assert len(lines) == spec.num_cells
 
     def test_blueprint_cache_is_bounded(self):
-        from repro.experiments import sweep as sweep_module
-        from repro.experiments.sweep import _cached_blueprint
-
-        sweep_module._BLUEPRINT_CACHE.clear()
+        grid_module._BLUEPRINT_CACHE.clear()
         base = small_config(seed=1)
-        for seed in range(1, sweep_module._BLUEPRINT_CACHE_CAPACITY + 4):
+        for seed in range(1, grid_module._BLUEPRINT_CACHE_CAPACITY + 4):
             _cached_blueprint(base.replace(seed=seed))
         assert (
-            len(sweep_module._BLUEPRINT_CACHE)
-            == sweep_module._BLUEPRINT_CACHE_CAPACITY
+            len(grid_module._BLUEPRINT_CACHE)
+            == grid_module._BLUEPRINT_CACHE_CAPACITY
         )
-        sweep_module._BLUEPRINT_CACHE.clear()
+        grid_module._BLUEPRINT_CACHE.clear()
 
     def test_cached_blueprint_returns_same_object_for_same_topology(self):
-        from repro.experiments import sweep as sweep_module
-        from repro.experiments.sweep import _cached_blueprint
-
-        sweep_module._BLUEPRINT_CACHE.clear()
+        grid_module._BLUEPRINT_CACHE.clear()
         base = small_config(seed=9)
         first = _cached_blueprint(base)
         again = _cached_blueprint(base.replace(query_rate_per_peer=0.5))
         assert again is first  # runtime-only overrides share the topology
-        sweep_module._BLUEPRINT_CACHE.clear()
+        grid_module._BLUEPRINT_CACHE.clear()

@@ -19,13 +19,16 @@ from repro.scenarios import (
     ChurnStorm,
     DiurnalWorkload,
     FlashCrowdWorkload,
+    PopularityShift,
     RegionalHotspotWorkload,
     Scenario,
     expected_horizon_s,
     get_scenario,
+    make_scenario,
     register_scenario,
     scenario_names,
 )
+from repro.workload.shifting import ShiftingZipfWorkload
 
 
 def _network(seed=7, **overrides):
@@ -101,13 +104,6 @@ class TestScenarioRuns:
         assert run.scenario_name == scenario
         assert len(run.outcomes) + run.locally_satisfied == max_queries
         assert all(o.index <= max_queries for o in run.outcomes)
-
-    def test_scenario_and_shift_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_protocol(
-                small_config(), "flooding", max_queries=10, bucket_width=10,
-                scenario="baseline", popularity_shift_s=100.0,
-            )
 
     def test_cold_start_reduces_initial_replication(self):
         config = small_config()
@@ -362,6 +358,36 @@ class TestChurnStorm:
             churn.set_means(0.0, 10.0)
         with pytest.raises(ValueError):
             churn.set_means(10.0, -1.0)
+
+
+class TestPopularityShift:
+    def test_builds_a_shifting_workload_with_the_given_interval(self):
+        scenario = make_scenario("popularity-shift", shift_interval_s=50.0)
+        workload = scenario.build_workload(_network(), _sink, 60)
+        assert isinstance(workload, ShiftingZipfWorkload)
+        assert workload.shift_interval_s == 50.0
+
+    def test_default_interval_is_a_quarter_of_the_horizon(self):
+        network = _network()
+        workload = get_scenario("popularity-shift").build_workload(
+            network, _sink, 60
+        )
+        horizon = expected_horizon_s(network.config, 60)
+        assert workload.shift_interval_s == pytest.approx(0.25 * horizon)
+
+    def test_non_positive_interval_rejected(self):
+        with pytest.raises(ValueError, match="shift_interval_s"):
+            PopularityShift(shift_interval_s=0.0)
+
+    def test_shifts_happen_during_a_run(self):
+        run = run_protocol(
+            small_config(seed=3).replace(query_rate_per_peer=0.02),
+            "locaware",
+            max_queries=60,
+            bucket_width=30,
+            scenario=make_scenario("popularity-shift", shift_interval_s=20.0),
+        )
+        assert run.metric_snapshot["counter.workload.popularity_shifts"] > 0
 
 
 class TestMaxQueriesProperty:

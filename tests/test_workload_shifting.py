@@ -107,6 +107,7 @@ class TestShiftingWorkload:
 class TestRunnerIntegration:
     def test_run_protocol_with_shift(self):
         from repro.experiments import run_protocol, small_config
+        from repro.scenarios import make_scenario
 
         config = small_config(seed=3).replace(query_rate_per_peer=0.02)
         run = run_protocol(
@@ -114,7 +115,7 @@ class TestRunnerIntegration:
             "locaware",
             max_queries=60,
             bucket_width=30,
-            popularity_shift_s=200.0,
+            scenario=make_scenario("popularity-shift", shift_interval_s=200.0),
         )
         assert run.outcomes
         assert run.metric_snapshot.get("counter.workload.popularity_shifts", 0) >= 0
