@@ -155,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the comparison under a registered scenario "
         "(default: the paper's baseline regime)",
     )
-    figures.add_argument(
-        "--location-aware-routing",
-        action="store_true",
-        help="enable Locaware's location-aware routing extension",
-    )
     figures.add_argument("--save", metavar="FILE", help="persist the result as JSON")
     figures.add_argument(
         "--chart", action="store_true", help="also render ASCII line charts"
@@ -536,7 +531,6 @@ def _fresh_comparison(args: argparse.Namespace, out) -> object:
         progress=lambda m: print(f"  [{time.time() - started:6.1f}s] {m}",
                                  file=out, flush=True),
         scenario=getattr(args, "scenario", None),
-        location_aware_routing=getattr(args, "location_aware_routing", False),
     )
     print(f"  done in {time.time() - started:.1f}s\n", file=out)
     return result
@@ -788,26 +782,13 @@ def _cmd_grid_status(args: argparse.Namespace, out) -> int:
     # against a row-backed store would silently report zero claims.
     claims = ClaimStore(store.root, backend=store.backend)
     keys = {spec.cell_key(cell) for cell in spec.expand()}
-    stored = sum(1 for key in keys if store.has(key))
-    # A cell both stored and claimed (crash between commit and
-    # release) counts as stored — the claim is a prunable orphan, not
-    # outstanding work — so pending can never go negative.
-    claimed = {
-        claim.key: claim
-        for claim in claims.claims()
-        if claim.key in keys and not store.has(claim.key)
-    }
-    pending = len(keys) - stored - len(claimed)
+    _, claimed, progress = _grid_progress(store, claims, keys)
     print(
         f"store {args.store}: {len(store)} cell(s) stored, "
         f"{sum(1 for _ in claims.claims())} active claim(s)",
         file=out,
     )
-    print(
-        f"grid: total={len(keys)} stored={stored} claimed={len(claimed)} "
-        f"pending={pending}",
-        file=out,
-    )
+    print(progress, file=out)
     if claimed:
         now = time.time()
         print("claims:", file=out)
@@ -824,36 +805,52 @@ def _cmd_grid_status(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _grid_progress(store, claims, keys):
+    """A grid's stored keys (sorted), its outstanding claims by key, and
+    the ``grid: total=… stored=… claimed=… pending=…`` line.
+
+    A cell both stored and claimed (crash between commit and release)
+    counts as stored — the claim is a prunable orphan, not outstanding
+    work — so pending can never go negative.
+    """
+    stored = [key for key in sorted(keys) if store.has(key)]
+    stored_set = set(stored)
+    claimed = {
+        claim.key: claim
+        for claim in claims.claims()
+        if claim.key in keys and claim.key not in stored_set
+    }
+    pending = len(keys) - len(stored) - len(claimed)
+    line = (
+        f"grid: total={len(keys)} stored={len(stored)} "
+        f"claimed={len(claimed)} pending={pending}"
+    )
+    return stored, claimed, line
+
+
 def _watch_snapshot(store, claims, keys, window_s, now):
     """One ``grid watch`` poll: progress lines and whether the grid is done.
 
     Throughput comes from the telemetry sidecars committed cells leave
     next to their documents — only sidecars stamped within the window
     count, so the rate (and the ETA derived from it) reflects current
-    runners, not the whole history of the store.
+    runners, not the whole history of the store.  The rate divides by
+    the time those cells actually cover — from the earliest one's start
+    (``completed_unix`` minus its total phase time) to now, capped at
+    the window — so a young run is not diluted by the idle rest of it.
     """
-    stored = [key for key in sorted(keys) if store.has(key)]
-    stored_set = set(stored)
-    claimed = [
-        claim
-        for claim in claims.claims()
-        if claim.key in keys and claim.key not in stored_set
-    ]
-    pending = len(keys) - len(stored) - len(claimed)
+    stored, _, progress = _grid_progress(store, claims, keys)
     done = len(stored) == len(keys)
 
     width = 30
     filled = (width * len(stored)) // len(keys) if keys else width
     bar = "#" * filled + "." * (width - filled)
     share = len(stored) / len(keys) if keys else 1.0
-    lines = [
-        f"grid: total={len(keys)} stored={len(stored)} "
-        f"claimed={len(claimed)} pending={pending}",
-        f"  [{bar}] {share:6.1%}",
-    ]
+    lines = [progress, f"  [{bar}] {share:6.1%}"]
 
     # Per-runner throughput from recent sidecars.
     recent = {}
+    span_s = 0.0
     for key in stored:
         sidecar = store.get_sidecar(key)
         if sidecar is None:
@@ -870,6 +867,9 @@ def _watch_snapshot(store, claims, keys, window_s, now):
         simulate = phases.get("simulate")
         if isinstance(simulate, (int, float)):
             stats["simulate_s"] += simulate
+        total = phases.get("total")
+        started = completed - (total if isinstance(total, (int, float)) else 0.0)
+        span_s = max(span_s, min(now - started, window_s))
     if recent:
         lines.append(f"runners (cells committed in the last {window_s:g}s):")
         for runner in sorted(recent):
@@ -883,7 +883,8 @@ def _watch_snapshot(store, claims, keys, window_s, now):
     if done:
         lines.append("grid complete")
     else:
-        rate = sum(stats["cells"] for stats in recent.values()) / window_s
+        cells = sum(stats["cells"] for stats in recent.values())
+        rate = cells / (span_s if span_s > 0 else window_s)
         remaining = len(keys) - len(stored)
         if rate > 0:
             lines.append(

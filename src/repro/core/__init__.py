@@ -6,11 +6,13 @@
   and BF-first query routing (§4.2);
 - :class:`LocationAwareSelector` — locId-match / RTT-probe provider
   selection (§4.1.2, §5.1);
-- :class:`LocawareProtocol` — the assembled protocol.
+- :class:`LocawareProtocol` — the assembled protocol, and
+  :class:`LocationAwareRoutingProtocol` its §6 location-aware routing
+  variant.
 """
 
 from .bloom_router import BloomRouter, PeerBloomState
-from .locaware import LocawareProtocol
+from .locaware import LocationAwareRoutingProtocol, LocawareProtocol
 from .provider_selection import LocationAwareSelector
 from .response_index import IndexUpdate, LocationAwareIndex
 
@@ -21,4 +23,5 @@ __all__ = [
     "PeerBloomState",
     "LocationAwareSelector",
     "LocawareProtocol",
+    "LocationAwareRoutingProtocol",
 ]

@@ -17,26 +17,25 @@ lifecycle:
    :class:`~repro.core.provider_selection.LocationAwareSelector`):
    same-locId providers first, RTT probing as fallback.
 
-An optional extension flag, ``location_aware_routing``, implements the
+:class:`LocationAwareRoutingProtocol` (``locaware-lr``) implements the
 paper's future-work idea (§6): among equally eligible next hops,
 prefer neighbors physically closer to the requestor.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import Any
 
 from ..overlay.messages import ProviderEntry, Query, QueryResponse
 from ..overlay.network import P2PNetwork
 from ..overlay.peer import Peer
 from ..protocols.base import QueryContext, SearchProtocol
-from ..protocols.groups import file_group, query_group_guess
 from .bloom_router import BloomRouter
 from .provider_selection import LocationAwareSelector
 from .response_index import LocationAwareIndex
 
-__all__ = ["LocawareProtocol"]
-
-_INDEX_KEY = "locaware_index"
+__all__ = ["LocawareProtocol", "LocationAwareRoutingProtocol"]
 
 
 class LocawareProtocol(SearchProtocol):
@@ -44,14 +43,12 @@ class LocawareProtocol(SearchProtocol):
 
     name = "locaware"
     forward_after_hit = False  # §4.2: propagation stops at a satisfying node
+    index_key = "locaware_index"
 
-    def __init__(
-        self, network: P2PNetwork, location_aware_routing: bool = False
-    ) -> None:
+    def __init__(self, network: P2PNetwork) -> None:
         # The router/selector exist before init_peer runs for each peer.
         self.bloom_router = BloomRouter(network)
         self.selector = LocationAwareSelector(network)
-        self.location_aware_routing = location_aware_routing
         super().__init__(network)
 
     # -- lifecycle ------------------------------------------------------------
@@ -65,55 +62,37 @@ class LocawareProtocol(SearchProtocol):
         self.bloom_router.stop()
 
     def init_peer(self, peer: Peer) -> None:
-        peer.protocol_state[_INDEX_KEY] = LocationAwareIndex(
-            self.config.index_capacity, self.config.max_providers_per_file
-        )
+        super().init_peer(peer)
         self.bloom_router.init_peer(peer)
 
-    def index_of(self, peer: Peer) -> LocationAwareIndex:
-        """The peer's location-aware response index."""
-        index = peer.protocol_state.get(_INDEX_KEY)
-        if index is None:
-            index = LocationAwareIndex(
-                self.config.index_capacity, self.config.max_providers_per_file
-            )
-            peer.protocol_state[_INDEX_KEY] = index
-        return index
+    def new_index(self) -> LocationAwareIndex:
+        return LocationAwareIndex(
+            self.config.index_capacity, self.config.max_providers_per_file
+        )
 
     # -- caching (§4.1) ------------------------------------------------------
-
-    def _matches_gid(self, peer: Peer, filename: str) -> bool:
-        return peer.gid == file_group(filename, self.config.group_count)
 
     def _cache_entries(
         self, peer: Peer, filename: str, providers: tuple[ProviderEntry, ...]
     ) -> None:
         """Admit providers into the peer's index, syncing the Bloom filter."""
-        index = self.index_of(peer)
-        update = index.put(filename, providers)
-        keywords = self.network.catalog.by_filename(filename)
-        if update.inserted_filename and keywords is not None:
-            self.bloom_router.filename_cached(peer, keywords.keywords)
-            self.network.metrics.counter("index.inserts").increment()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.network.sim.now, "cache.insert",
-                    peer=peer.peer_id, filename=filename,
-                )
+        update = self.index_of(peer).put(filename, providers)
+        catalog = self.network.catalog
+        if update.inserted_filename:
+            record = catalog.by_filename(filename)
+            if record is not None:
+                self.bloom_router.filename_cached(peer, record.keywords)
         for evicted in update.evicted_filenames:
-            record = self.network.catalog.by_filename(evicted)
+            record = catalog.by_filename(evicted)
             if record is not None:
                 self.bloom_router.filename_evicted(peer, record.keywords)
-            self.network.metrics.counter("index.evictions").increment()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.network.sim.now, "cache.evict",
-                    peer=peer.peer_id, filename=evicted,
-                )
+        self._count_index_update(
+            peer, filename, update.inserted_filename, update.evicted_filenames
+        )
 
     def on_response_transit(self, peer: Peer, response: QueryResponse) -> None:
         """§4.1.2: matching-Gid peers cache all providers + the requestor."""
-        if not self._matches_gid(peer, response.filename):
+        if not self.caches_response(peer, response):
             return
         requestor_entry = ProviderEntry(
             response.origin, response.origin_locid
@@ -142,36 +121,22 @@ class LocawareProtocol(SearchProtocol):
         return tuple(combined[: self.config.max_providers_per_file])
 
     def check_index(self, peer: Peer, query: Query) -> QueryResponse | None:
-        index = self.index_of(peer)
-        hit = index.lookup(query.keywords)
+        hit = self.index_of(peer).lookup(query.keywords)
         if hit is None:
             return None
         filename, providers = hit
         ordered = self._ordered_providers(providers, query.origin, query.origin_locid)
         if not ordered:
             return None
-        record = self.network.catalog.by_filename(filename)
-        if record is None:
-            return None
-        self.network.metrics.counter("index.hits").increment()
-        response = QueryResponse(
-            query_id=query.query_id,
-            origin=query.origin,
-            origin_locid=query.origin_locid,
-            keywords=query.keywords,
-            file_id=record.file_id,
-            filename=filename,
-            providers=ordered,
-            responder=peer.peer_id,
-            reverse_path=tuple(reversed(query.path)),
-        )
-        # §4.1.2: "Peer B then adds in its RI the entry (E, 1) as a new
-        # provider of f" — the requestor becomes a provider.
-        self._cache_entries(
-            peer,
-            filename,
-            (ProviderEntry(query.origin, query.origin_locid),),
-        )
+        response = self._index_response(peer, query, filename, ordered)
+        if response is not None:
+            # §4.1.2: "Peer B then adds in its RI the entry (E, 1) as a
+            # new provider of f" — the requestor becomes a provider.
+            self._cache_entries(
+                peer,
+                filename,
+                (ProviderEntry(query.origin, query.origin_locid),),
+            )
         return response
 
     def build_store_response(
@@ -189,74 +154,26 @@ class LocawareProtocol(SearchProtocol):
         )
         if not ordered:
             ordered = (ProviderEntry(peer.peer_id, peer.locid),)
-        return QueryResponse(
-            query_id=query.query_id,
-            origin=query.origin,
-            origin_locid=query.origin_locid,
-            keywords=query.keywords,
-            file_id=file_id,
-            filename=filename,
-            providers=ordered,
-            responder=peer.peer_id,
-            reverse_path=tuple(reversed(query.path)),
-        )
+        return self._respond(peer, query, file_id, filename, ordered)
 
     # -- routing (§4.2) -------------------------------------------------------
 
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
         """BF-matching neighbors; else Gid guess; else best-connected."""
-        last_hop = query.last_hop
         matches = self.bloom_router.neighbors_matching(
-            peer, query.keywords, exclude=last_hop
+            peer, query.keywords, exclude=query.last_hop
         )
         if matches:
             self.network.metrics.counter("routing.bf_match").increment()
             return matches
-        group = query_group_guess(query.keywords, self.config.group_count)
-        gid_matches = [
-            neighbor
-            for neighbor in self.network.graph.neighbors_view(peer.peer_id)
-            if neighbor != last_hop and self.network.peer(neighbor).gid == group
-        ]
+        gid_matches = self._gid_neighbors(peer, query)
         if gid_matches:
             self.network.metrics.counter("routing.gid_match").increment()
             return gid_matches
-        fallback = self._fallback_neighbors(peer, last_hop, query)
-        if not fallback:
-            return []
-        self.network.metrics.counter("routing.fallback").increment()
+        fallback = self._fallback_neighbors(peer, query)
+        if fallback:
+            self.network.metrics.counter("routing.fallback").increment()
         return fallback
-
-    def _fallback_neighbors(
-        self, peer: Peer, last_hop: int, query: Query | None = None
-    ) -> list[int]:
-        """The last-resort targets, up to ``config.fallback_fanout``.
-
-        Stock Locaware follows §4.2: best-connected neighbors.  With the
-        §6 extension (``location_aware_routing``) connectivity still
-        leads — exploration is what finds results on a sparse overlay —
-        but ties between equally connected neighbors break towards the
-        *requestor's* locId, nudging blind propagation into the
-        locality where a same-locId provider would be the ideal answer.
-        (Stronger biases — raw requestor RTT, locId-first — were tried
-        and discarded: they trade away too much exploration and lose
-        2-8 points of success rate; see EXPERIMENTS.md.)
-        """
-        candidates = [
-            neighbor
-            for neighbor in sorted(self.network.graph.neighbors_view(peer.peer_id))
-            if neighbor != last_hop
-        ]
-        if self.location_aware_routing and query is not None:
-            candidates.sort(
-                key=lambda n: (
-                    -self.network.graph.degree(n),
-                    self.network.peer(n).locid != query.origin_locid,
-                )
-            )
-        else:
-            candidates.sort(key=lambda n: -self.network.graph.degree(n))
-        return candidates[: self.config.fallback_fanout]
 
     # -- provider selection (§4.1.2 + §5.1) ----------------------------------
 
@@ -274,3 +191,24 @@ class LocawareProtocol(SearchProtocol):
             candidates,
             query_id=context.query_id,
         )
+
+
+class LocationAwareRoutingProtocol(LocawareProtocol):
+    """Locaware with location-aware query routing (§6 future work).
+
+    Connectivity still leads the last-resort fallback — exploration is
+    what finds results on a sparse overlay — but ties between equally
+    connected neighbors break towards the *requestor's* locId, nudging
+    blind propagation into the locality where a same-locId provider
+    would be the ideal answer.  (Stronger biases — raw requestor RTT,
+    locId-first — were tried and discarded: they trade away too much
+    exploration and lose 2-8 points of success rate.)
+    """
+
+    name = "locaware-lr"
+
+    def fallback_order(self, query: Query) -> Callable[[int], Any]:
+        degree = self.network.graph.degree
+        peer_of = self.network.peer
+        locid = query.origin_locid
+        return lambda neighbor: (-degree(neighbor), peer_of(neighbor).locid != locid)

@@ -1,9 +1,10 @@
 """Ablation experiments (DESIGN.md A1-A8 + the §6 extensions).
 
 Each ablation sweeps one design parameter the paper discusses and
-reports how the headline metrics move.  A1-A8 and EXT2 are experiment
-grids: the swept parameter is a config-override axis (for EXT2 a
-scenario axis) of a :class:`~repro.experiments.grid.GridSpec`, run
+reports how the headline metrics move.  Every ablation is an experiment
+grid: the swept parameter is a config-override axis (for EXT a
+protocol axis, for EXT2 a scenario axis) of a
+:class:`~repro.experiments.grid.GridSpec`, run
 through :func:`~repro.experiments.grid.execute_cells` with build reuse,
 so each distinct topology is built once and results are directly
 comparable with every other grid.
@@ -25,8 +26,8 @@ comparable with every other grid.
   concentration vs routing reachability;
 - A8 ``ablate_substrate`` — latency model × peer placement;
 - EXT ``ablate_locaware_routing`` — §6 future work: location-aware
-  *query routing* on top of Locaware (a protocol flag, not a config
-  field, so two direct runs on one shared blueprint);
+  *query routing* on top of Locaware (the ``locaware-lr`` protocol
+  against ``locaware``, on one shared blueprint);
 - EXT2 ``ablate_popularity_shift`` — popularity drift via the
   ``popularity-shift`` scenario.
 """
@@ -39,10 +40,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..analysis.tables import format_table
-from ..overlay.blueprint import NetworkBlueprint
 from ..sim.config import SimulationConfig
 from .grid import GridSpec, _cached_blueprint, execute_cells
-from .runner import ProtocolRun, run_protocol
+from .runner import ProtocolRun
 from .setup import paper_config
 
 __all__ = [
@@ -396,10 +396,8 @@ def ablate_locaware_routing(
 ) -> AblationResult:
     """EXT — §6 future work: location-aware query routing.
 
-    Compares stock Locaware against the variant that biases equally
-    eligible next hops towards the requestor's locality.  The variant
-    is a protocol flag, not a config field, so this is two direct runs
-    on one shared blueprint rather than a grid.
+    Compares stock Locaware against ``locaware-lr``, the variant that
+    biases equally eligible next hops towards the requestor's locality.
     """
     base = base if base is not None else paper_config()
     result = AblationResult(
@@ -407,16 +405,8 @@ def ablate_locaware_routing(
         "location-aware query routing (§6 future work)",
         ["variant", "success", "distance_ms", "msgs/query", "locId matches"],
     )
-    blueprint = NetworkBlueprint.build(base)
-    for label, flag in (("locaware", False), ("locaware+locrouting", True)):
-        run = run_protocol(
-            base,
-            "locaware",
-            max_queries=max_queries,
-            bucket_width=max(1, max_queries // 4),
-            location_aware_routing=flag,
-            blueprint=blueprint,
-        )
+    (runs,) = _grid_rows(base, max_queries, ("locaware", "locaware-lr"))
+    for label, run in zip(("locaware", "locaware+locrouting"), runs):
         result.rows.append(
             [
                 label,

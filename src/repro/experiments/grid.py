@@ -769,29 +769,25 @@ def execute_cells(
         for cell in cells
     ]
     total = progress_total if progress_total is not None else len(tasks)
-    if pool is not None:
-        for done, (cell, run) in enumerate(
-            pool.imap(tasks), start=1 + progress_offset
-        ):
-            _note(progress, done, total, cell)
-            yield cell, run
-        return
-    workers = min(workers, len(tasks)) if tasks else 1
-    if workers == 1:
-        for done, task in enumerate(tasks, start=1 + progress_offset):
-            cell, run = _run_cell(task)
-            _note(progress, done, total, cell)
-            yield cell, run
-    else:
+    workers = min(workers, len(tasks))
+    chunksize = 1
+    ephemeral: GridWorkerPool | None = None
+    if pool is None and workers > 1:
         prebuild = _capped_prebuild(spec, cells) if reuse_builds else []
         chunksize = len(spec.protocols) if reuse_builds else 1
-        with GridWorkerPool(workers, prebuild=prebuild) as ephemeral:
-            for done, (cell, run) in enumerate(
-                ephemeral.imap(tasks, chunksize=chunksize),
-                start=1 + progress_offset,
-            ):
-                _note(progress, done, total, cell)
-                yield cell, run
+        pool = ephemeral = GridWorkerPool(workers, prebuild=prebuild)
+    try:
+        results = (
+            map(_run_cell, tasks)
+            if pool is None
+            else pool.imap(tasks, chunksize=chunksize)
+        )
+        for done, (cell, run) in enumerate(results, start=1 + progress_offset):
+            _note(progress, done, total, cell)
+            yield cell, run
+    finally:
+        if ephemeral is not None:
+            ephemeral.close()
 
 
 class _HeartbeatTicker:

@@ -24,7 +24,7 @@ from ..analysis.collectors import (
     collect_series,
     summarize_outcomes,
 )
-from ..core.locaware import LocawareProtocol
+from ..core.locaware import LocationAwareRoutingProtocol, LocawareProtocol
 from ..overlay.blueprint import NetworkBlueprint
 from ..overlay.churn import ChurnProcess
 from ..overlay.network import P2PNetwork
@@ -35,7 +35,7 @@ from ..protocols.flooding import FloodingProtocol
 from ..scenarios import Scenario, ScenarioContext, get_scenario
 from ..sim.config import SimulationConfig
 from ..sim.telemetry import PhaseTimers, RunTelemetry, collect_run_telemetry
-from ..sim.tracing import JsonlTracer, Tracer
+from ..sim.tracing import JsonlTracer
 from ..workload.generator import QueryWorkload
 
 __all__ = [
@@ -47,12 +47,14 @@ __all__ = [
     "run_comparison",
 ]
 
-#: name → protocol class, in the paper's presentation order.
+#: name → protocol class: the paper's four in presentation order, then
+#: the §6 location-aware routing variant of Locaware.
 PROTOCOL_REGISTRY: dict[str, type[SearchProtocol]] = {
     "flooding": FloodingProtocol,
     "dicas": DicasProtocol,
     "dicas-keys": DicasKeysProtocol,
     "locaware": LocawareProtocol,
+    "locaware-lr": LocationAwareRoutingProtocol,
 }
 
 DEFAULT_PROTOCOL_ORDER = ("flooding", "dicas", "dicas-keys", "locaware")
@@ -119,9 +121,7 @@ class ComparisonResult:
         return {name: run.series for name, run in self.runs.items()}
 
 
-def make_protocol(
-    name: str, network: P2PNetwork, location_aware_routing: bool = False
-) -> SearchProtocol:
+def make_protocol(name: str, network: P2PNetwork) -> SearchProtocol:
     """Instantiate a registered protocol on ``network``."""
     try:
         cls = PROTOCOL_REGISTRY[name]
@@ -129,8 +129,6 @@ def make_protocol(
         raise ValueError(
             f"unknown protocol {name!r}; known: {sorted(PROTOCOL_REGISTRY)}"
         ) from None
-    if cls is LocawareProtocol:
-        return LocawareProtocol(network, location_aware_routing=location_aware_routing)
     return cls(network)
 
 
@@ -139,8 +137,6 @@ def run_protocol(
     protocol_name: str,
     max_queries: int,
     bucket_width: int,
-    tracer: Tracer | None = None,
-    location_aware_routing: bool = False,
     scenario: Scenario | str | None = None,
     blueprint: NetworkBlueprint | None = None,
     trace_path: str | Path | None = None,
@@ -161,9 +157,9 @@ def run_protocol(
 
     ``trace_path`` streams every trace event to a JSONL file (see
     :class:`~repro.sim.tracing.JsonlTracer`); ``trace_kinds`` optionally
-    restricts the recorded kinds.  Mutually exclusive with ``tracer``.
-    Tracing never changes results — outcomes, metric snapshots, and
-    fingerprints are byte-identical with tracing on or off.
+    restricts the recorded kinds.  Tracing never changes results —
+    outcomes, metric snapshots, and fingerprints are byte-identical
+    with tracing on or off.
 
     ``collect_telemetry`` attaches a
     :class:`~repro.sim.telemetry.RunTelemetry` sidecar to the returned
@@ -172,8 +168,6 @@ def run_protocol(
     """
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
-    if trace_path is not None and tracer is not None:
-        raise ValueError("trace_path and tracer are mutually exclusive")
     if trace_kinds is not None and trace_path is None:
         raise ValueError("trace_kinds requires trace_path")
     if isinstance(scenario, str):
@@ -190,12 +184,11 @@ def run_protocol(
                 "declaration or the overrides"
             )
         config = configured
-    own_tracer: JsonlTracer | None = None
+    tracer: JsonlTracer | None = None
     if trace_path is not None:
-        own_tracer = JsonlTracer(
+        tracer = JsonlTracer(
             trace_path, kinds=list(trace_kinds) if trace_kinds is not None else None
         )
-        tracer = own_tracer
     timers = PhaseTimers()
     try:
         if blueprint is not None:
@@ -213,9 +206,7 @@ def run_protocol(
             with timers.phase("instantiate"):
                 network = built.instantiate(tracer=tracer)
         with timers.phase("instantiate"):
-            protocol = make_protocol(
-                protocol_name, network, location_aware_routing=location_aware_routing
-            )
+            protocol = make_protocol(protocol_name, network)
             protocol.start()
             churn: ChurnProcess | None = None
             if config.churn_enabled:
@@ -261,8 +252,8 @@ def run_protocol(
                 scenario_name=scenario.name if scenario is not None else None,
             )
     finally:
-        if own_tracer is not None:
-            own_tracer.close()
+        if tracer is not None:
+            tracer.close()
     if collect_telemetry:
         run.telemetry = collect_run_telemetry(network, timers, tracer=tracer)
     return run
@@ -300,17 +291,15 @@ def run_comparison(
     protocols: Sequence[str] = DEFAULT_PROTOCOL_ORDER,
     progress: Callable[[str], None] | None = None,
     scenario: Scenario | str | None = None,
-    location_aware_routing: bool = False,
 ) -> ComparisonResult:
     """Run every requested protocol on the identical workload.
 
     The immutable world is built exactly once (one
     :class:`~repro.overlay.blueprint.NetworkBlueprint`) and
     instantiated per protocol — same topology, same catalog, same query
-    stream, a fraction of the construction cost.  ``scenario`` and
-    ``location_aware_routing`` are forwarded to every
-    :func:`run_protocol` call, so the comparison can be produced under
-    any registered regime.
+    stream, a fraction of the construction cost.  ``scenario`` is
+    forwarded to every :func:`run_protocol` call, so the comparison can
+    be produced under any registered regime.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -330,7 +319,6 @@ def run_comparison(
             name,
             max_queries,
             bucket_width,
-            location_aware_routing=location_aware_routing,
             scenario=scenario,
             blueprint=blueprint,
         )

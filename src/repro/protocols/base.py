@@ -19,20 +19,27 @@ systems — this module implements them once:
    success, download distance (requestor↔provider RTT), and message
    count ("total number of messages produced by a query", §5.2).
 
-Subclasses override the five hooks marked ``# hook`` below; everything
+Subclasses override the hooks marked ``# hook`` below; everything
 else — timing, bookkeeping, metrics — is identical across protocols so
-comparisons are apples-to-apples.
+comparisons are apples-to-apples.  The skeleton the index-caching
+protocols share (§3.2: Gid-matched caching on the reverse path,
+Gid-guess routing with a best-connected fallback, index answers and
+their counters) lives here once too, so Dicas, Dicas-Keys and Locaware
+differ only in their policies.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..overlay.messages import ProviderEntry, Query, QueryResponse
 from ..overlay.network import P2PNetwork
 from ..overlay.peer import Peer
 from ..sim.engine import EventHandle
+from .groups import file_group, query_group_guess
 
 __all__ = ["QueryOutcome", "QueryContext", "SearchProtocol"]
 
@@ -86,6 +93,10 @@ class SearchProtocol:
     #: (§4.2).
     forward_after_hit = False
 
+    #: ``Peer.protocol_state`` key of the peer's response index;
+    #: ``None`` for protocols that cache nothing (flooding).
+    index_key: str | None = None
+
     def __init__(self, network: P2PNetwork) -> None:
         self.network = network
         self.config = network.config
@@ -107,7 +118,14 @@ class SearchProtocol:
     # ------------------------------------------------------------------
 
     def init_peer(self, peer: Peer) -> None:  # hook
-        """Install protocol-specific state on a (re)joining peer."""
+        """Install protocol-specific state on a (re)joining peer: by
+        default a fresh, empty response index."""
+        if self.index_key is not None:
+            peer.protocol_state[self.index_key] = self.new_index()
+
+    def new_index(self) -> Any:  # hook
+        """An empty response index for one peer (index-caching protocols)."""
+        raise NotImplementedError
 
     def start(self) -> None:  # hook
         """Arm any background processes (e.g. Locaware's Bloom pushes).
@@ -127,6 +145,21 @@ class SearchProtocol:
     def on_response_transit(self, peer: Peer, response: QueryResponse) -> None:  # hook
         """Caching opportunity while a response passes through ``peer``."""
 
+    def caches_response(self, peer: Peer, response: QueryResponse) -> bool:  # hook
+        """Whether a reverse-path peer caches a passing response: its Gid
+        matches the filename's group (§3.2)."""
+        return peer.gid == file_group(response.filename, self.config.group_count)
+
+    def query_group(self, query: Query) -> int:  # hook
+        """The group Gid routing follows: Dicas' guess from the (possibly
+        partial) keyword query (§3.2)."""
+        return query_group_guess(query.keywords, self.config.group_count)
+
+    def fallback_order(self, query: Query) -> Callable[[int], Any]:  # hook
+        """Sort key ranking last-resort neighbors: highest degree first."""
+        degree = self.network.graph.degree
+        return lambda neighbor: -degree(neighbor)
+
     def select_provider(
         self, context: QueryContext
     ) -> tuple[QueryResponse, ProviderEntry] | None:  # hook
@@ -141,6 +174,80 @@ class SearchProtocol:
                 if self.provider_is_valid(context, response.file_id, provider):
                     return response, provider
         return None
+
+    # ------------------------------------------------------------------
+    # the index-caching skeleton (§3.2)
+    # ------------------------------------------------------------------
+
+    def index_of(self, peer: Peer) -> Any:
+        """The peer's response index (creating it on demand after churn)."""
+        index = peer.protocol_state.get(self.index_key)
+        if index is None:
+            index = peer.protocol_state[self.index_key] = self.new_index()
+        return index
+
+    def _gid_neighbors(self, peer: Peer, query: Query) -> list[int]:
+        """Neighbors in the query's group, except the copy's sender."""
+        group = self.query_group(query)
+        last_hop = query.last_hop
+        peer_of = self.network.peer
+        return [
+            neighbor
+            for neighbor in self.network.graph.neighbors_view(peer.peer_id)
+            if neighbor != last_hop and peer_of(neighbor).gid == group
+        ]
+
+    def _fallback_neighbors(self, peer: Peer, query: Query) -> list[int]:
+        """§4.2-style last resort: the best-ranked other neighbors.
+
+        Up to ``config.fallback_fanout`` of them, in
+        :meth:`fallback_order` (ties towards smaller ids), so restricted
+        routing keeps moving on sparse overlays instead of dead-ending.
+        """
+        last_hop = query.last_hop
+        candidates = [
+            neighbor
+            for neighbor in sorted(self.network.graph.neighbors_view(peer.peer_id))
+            if neighbor != last_hop
+        ]
+        candidates.sort(key=self.fallback_order(query))
+        return candidates[: self.config.fallback_fanout]
+
+    def _count_index_update(
+        self, peer: Peer, filename: str, inserted: bool, evicted: Iterable[str]
+    ) -> None:
+        """Count and trace one index put: ``index.inserts`` only when
+        ``filename`` is newly cached (a refresh is no insert), and
+        ``index.evictions`` once per filename the put displaced."""
+        if inserted:
+            self.network.metrics.counter("index.inserts").increment()
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.network.sim.now, "cache.insert",
+                    peer=peer.peer_id, filename=filename,
+                )
+        for name in evicted:
+            self.network.metrics.counter("index.evictions").increment()
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.network.sim.now, "cache.evict",
+                    peer=peer.peer_id, filename=name,
+                )
+
+    def _index_response(
+        self,
+        peer: Peer,
+        query: Query,
+        filename: str,
+        providers: tuple[ProviderEntry, ...],
+    ) -> QueryResponse | None:
+        """Answer ``query`` from a cached index entry (an ``index.hits``);
+        ``None`` if the filename is not in the catalog."""
+        record = self.network.catalog.by_filename(filename)
+        if record is None:
+            return None
+        self.network.metrics.counter("index.hits").increment()
+        return self._respond(peer, query, record.file_id, filename, providers)
 
     # ------------------------------------------------------------------
     # query lifecycle
@@ -297,14 +404,31 @@ class SearchProtocol:
     ) -> QueryResponse:
         """Response for a file-store hit.  Subclasses may extend the
         provider list (Locaware adds cached providers)."""
+        return self._respond(
+            peer,
+            query,
+            file_id,
+            self.network.catalog.filename(file_id),
+            (ProviderEntry(peer.peer_id, peer.locid),),
+        )
+
+    def _respond(
+        self,
+        peer: Peer,
+        query: Query,
+        file_id: int,
+        filename: str,
+        providers: tuple[ProviderEntry, ...],
+    ) -> QueryResponse:
+        """The response ``peer`` sends back along ``query``'s reverse path."""
         return QueryResponse(
             query_id=query.query_id,
             origin=query.origin,
             origin_locid=query.origin_locid,
             keywords=query.keywords,
             file_id=file_id,
-            filename=self.network.catalog.filename(file_id),
-            providers=(ProviderEntry(peer.peer_id, peer.locid),),
+            filename=filename,
+            providers=providers,
             responder=peer.peer_id,
             reverse_path=tuple(reversed(query.path)),
         )

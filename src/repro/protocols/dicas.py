@@ -17,16 +17,12 @@ mismatch is what Fig 4 quantifies.
 
 from __future__ import annotations
 
-
 from ..overlay.messages import Query, QueryResponse
 from ..overlay.peer import Peer
 from .base import SearchProtocol
-from .groups import file_group, query_group_guess
 from .index_cache import PlainIndexCache
 
 __all__ = ["DicasProtocol"]
-
-_STATE_KEY = "dicas_index"
 
 
 class DicasProtocol(SearchProtocol):
@@ -34,87 +30,31 @@ class DicasProtocol(SearchProtocol):
 
     name = "dicas"
     forward_after_hit = False  # propagation stops at a satisfying node
+    index_key = "dicas_index"
 
-    def init_peer(self, peer: Peer) -> None:
-        peer.protocol_state[_STATE_KEY] = PlainIndexCache(self.config.index_capacity)
-
-    def index_of(self, peer: Peer) -> PlainIndexCache:
-        """The peer's response index (creating it on demand after churn)."""
-        cache = peer.protocol_state.get(_STATE_KEY)
-        if cache is None:
-            cache = PlainIndexCache(self.config.index_capacity)
-            peer.protocol_state[_STATE_KEY] = cache
-        return cache
-
-    # -- routing ----------------------------------------------------------
-
-    def query_group(self, query: Query) -> int:
-        """The group Dicas guesses for a (possibly partial) keyword query."""
-        return query_group_guess(query.keywords, self.config.group_count)
+    def new_index(self) -> PlainIndexCache:
+        return PlainIndexCache(self.config.index_capacity)
 
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
-        """Gid-matching neighbors; else one highly connected neighbor."""
-        group = self.query_group(query)
-        last_hop = query.last_hop
-        matching = [
-            neighbor
-            for neighbor in self.network.graph.neighbors_view(peer.peer_id)
-            if neighbor != last_hop and self.network.peer(neighbor).gid == group
-        ]
-        if matching:
-            return matching
-        return self._fallback_neighbors(peer, last_hop)
-
-    def _fallback_neighbors(self, peer: Peer, last_hop: int) -> list[int]:
-        """§4.2-style last resort: the best-connected other neighbors.
-
-        Up to ``config.fallback_fanout`` of them, highest degree first
-        (ties towards smaller ids), so restricted routing keeps moving
-        on sparse overlays instead of dead-ending.
-        """
-        candidates = [
-            neighbor
-            for neighbor in sorted(self.network.graph.neighbors_view(peer.peer_id))
-            if neighbor != last_hop
-        ]
-        candidates.sort(key=lambda n: -self.network.graph.degree(n))
-        return candidates[: self.config.fallback_fanout]
-
-    # -- caching ----------------------------------------------------------
-
-    def _matches_gid(self, peer: Peer, filename: str) -> bool:
-        return peer.gid == file_group(filename, self.config.group_count)
+        """Gid-matching neighbors; else the best-connected neighbors."""
+        return self._gid_neighbors(peer, query) or self._fallback_neighbors(peer, query)
 
     def on_response_transit(self, peer: Peer, response: QueryResponse) -> None:
-        """Cache the response at matching-Gid reverse-path peers (§3.2)."""
-        if not self._matches_gid(peer, response.filename):
+        """Cache the response's provider at the reverse-path peers
+        :meth:`caches_response` admits (§3.2) — one per filename."""
+        if not self.caches_response(peer, response):
             return
-        provider = response.providers[0]
-        self.index_of(peer).put(response.filename, provider)
-        self.network.metrics.counter("index.inserts").increment()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.network.sim.now, "cache.insert",
-                peer=peer.peer_id, filename=response.filename,
-            )
+        cache = self.index_of(peer)
+        filename = response.filename
+        inserted = filename not in cache
+        evicted = cache.put(filename, response.providers[0])
+        self._count_index_update(
+            peer, filename, inserted, () if evicted is None else (evicted,)
+        )
 
     def check_index(self, peer: Peer, query: Query) -> QueryResponse | None:
         hit = self.index_of(peer).lookup(query.keywords)
         if hit is None:
             return None
         filename, provider = hit
-        record = self.network.catalog.by_filename(filename)
-        if record is None:
-            return None
-        self.network.metrics.counter("index.hits").increment()
-        return QueryResponse(
-            query_id=query.query_id,
-            origin=query.origin,
-            origin_locid=query.origin_locid,
-            keywords=query.keywords,
-            file_id=record.file_id,
-            filename=filename,
-            providers=(provider,),
-            responder=peer.peer_id,
-            reverse_path=tuple(reversed(query.path)),
-        )
+        return self._index_response(peer, query, filename, (provider,))

@@ -22,8 +22,6 @@ Concretely:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..overlay.messages import Query, QueryResponse
 from ..overlay.peer import Peer
 from .dicas import DicasProtocol
@@ -37,36 +35,10 @@ class DicasKeysProtocol(DicasProtocol):
 
     name = "dicas-keys"
 
-    def _cache_groups(self, keywords: Sequence[str]) -> set[int]:
-        return keyword_groups(keywords, self.config.group_count)
-
-    def _routing_group(self, keywords: Sequence[str]) -> int:
+    def query_group(self, query: Query) -> int:
         """The designated keyword's group (first in canonical order)."""
-        designated = min(keywords)
-        return stable_hash(designated) % self.config.group_count
+        return stable_hash(min(query.keywords)) % self.config.group_count
 
-    def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
-        """Neighbors matching the designated keyword's group; else fallback."""
-        group = self._routing_group(query.keywords)
-        last_hop = query.last_hop
-        matching = [
-            neighbor
-            for neighbor in self.network.graph.neighbors_view(peer.peer_id)
-            if neighbor != last_hop and self.network.peer(neighbor).gid == group
-        ]
-        if matching:
-            return matching
-        return self._fallback_neighbors(peer, last_hop)
-
-    def on_response_transit(self, peer: Peer, response: QueryResponse) -> None:
+    def caches_response(self, peer: Peer, response: QueryResponse) -> bool:
         """Cache whenever the peer's Gid matches any query keyword's hash."""
-        if peer.gid not in self._cache_groups(response.keywords):
-            return
-        provider = response.providers[0]
-        self.index_of(peer).put(response.filename, provider)
-        self.network.metrics.counter("index.inserts").increment()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.network.sim.now, "cache.insert",
-                peer=peer.peer_id, filename=response.filename,
-            )
+        return peer.gid in keyword_groups(response.keywords, self.config.group_count)

@@ -150,7 +150,7 @@ class TestCompareCommand:
         args = build_parser().parse_args(["compare"])
         assert args.command == "compare"
         assert args.scenario is None
-        assert args.location_aware_routing is False
+        assert not hasattr(args, "location_aware_routing")
 
     def test_figures_accepts_scenario_flag(self):
         args = build_parser().parse_args(["figures", "--scenario", "flash-crowd"])
@@ -712,6 +712,42 @@ class TestGridWatchCommand:
         assert code == 0
         assert "watcher-test" in output
         assert "mean simulate" in output
+
+    def test_watch_eta_uses_the_span_sidecars_cover(self):
+        """A 30-second-old run under an hour-long window: the rate is
+        cells over those 30 s, not over the whole window."""
+        from repro.cli import _watch_snapshot
+
+        now = 10_000.0
+
+        def sidecar(completed, total):
+            return {
+                "runner_id": "r1",
+                "completed_unix": completed,
+                "telemetry": {"phases_s": {"simulate": 1.0, "total": total}},
+            }
+
+        class Store:
+            sidecars = {"a": sidecar(now - 10.0, 20.0), "b": sidecar(now - 5.0, 10.0)}
+
+            def has(self, key):
+                return key in self.sidecars
+
+            def get_sidecar(self, key):
+                return self.sidecars.get(key)
+
+        class Claims:
+            def claims(self):
+                return []
+
+        keys = {"a", "b", "c", "d"}
+        text, done = _watch_snapshot(Store(), Claims(), keys, 3600.0, now)
+        assert not done
+        assert "throughput 4.0 cells/min  ETA ~30s for 2 cell(s)" in text
+        # A cell that started before the window caps the span at it.
+        Store.sidecars["a"] = sidecar(now - 10.0, 90.0)
+        text, _ = _watch_snapshot(Store(), Claims(), keys, 60.0, now)
+        assert "throughput 2.0 cells/min  ETA ~60s for 2 cell(s)" in text
 
     def test_watch_rejects_bad_interval(self, tmp_path):
         code, output = run_cli(

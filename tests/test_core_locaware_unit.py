@@ -1,18 +1,18 @@
 """Unit tests for LocawareProtocol internals."""
 
 
-from repro.core import LocawareProtocol
+from repro.core import LocationAwareRoutingProtocol, LocawareProtocol
 from repro.overlay import P2PNetwork, ProviderEntry, Query
 from repro.protocols import file_group
 from repro.sim import SimulationConfig
 
 
-def make_protocol(seed=5, **overrides):
+def make_protocol(seed=5, cls=LocawareProtocol, **overrides):
     config = SimulationConfig.small(seed=seed)
     if overrides:
         config = config.replace(**overrides)
     network = P2PNetwork.build(config)
-    return network, LocawareProtocol(network)
+    return network, cls(network)
 
 
 def make_query(network, origin=0, keywords=("kw1",), ttl=7, path=None, qid=1):
@@ -222,8 +222,7 @@ class TestRoutingTiers:
     def test_location_aware_fallback_breaks_degree_ties_by_locid(self):
         """§6 extension: connectivity still leads; ties between equally
         connected neighbors break towards the requestor's locId."""
-        network, protocol = make_protocol()
-        protocol.location_aware_routing = True
+        network, protocol = make_protocol(cls=LocationAwareRoutingProtocol)
         found_case = False
         for peer in network.peers:
             neighbors = [
@@ -261,7 +260,7 @@ class TestRoutingTiers:
             query = make_query(
                 network, origin=origin, keywords=("zz-nomatch",), path=(origin,)
             )
-            targets = protocol._fallback_neighbors(peer, last_hop=origin, query=query)
+            targets = protocol._fallback_neighbors(peer, query)
             # Within the chosen targets, any same-locId tie member must
             # not be displaced by a different-locId member of the same
             # degree class.

@@ -1,11 +1,15 @@
 """Unit tests for Dicas and Dicas-Keys protocol internals."""
 
+from dataclasses import replace
+
+import pytest
 
 from repro.overlay import P2PNetwork, ProviderEntry, Query, QueryResponse
 from repro.protocols import (
     DicasKeysProtocol,
     DicasProtocol,
     file_group,
+    keyword_groups,
     query_group_guess,
     stable_hash,
 )
@@ -67,7 +71,8 @@ class TestDicasRouting:
     def test_fallback_prefers_high_degree(self):
         network, protocol = make(DicasProtocol)
         peer = network.peer(0)
-        fallback = protocol._fallback_neighbors(peer, last_hop=-1)
+        # A query the peer itself issued: no neighbor is its sender.
+        fallback = protocol._fallback_neighbors(peer, make_query(network))
         degrees = [network.graph.degree(n) for n in fallback]
         other_degrees = [
             network.graph.degree(n)
@@ -80,7 +85,7 @@ class TestDicasRouting:
     def test_fallback_respects_fanout_config(self):
         network, protocol = make(DicasProtocol, fallback_fanout=1)
         peer = network.peer(0)
-        assert len(protocol._fallback_neighbors(peer, last_hop=-1)) <= 1
+        assert len(protocol._fallback_neighbors(peer, make_query(network))) <= 1
 
 
 class TestDicasCaching:
@@ -120,22 +125,25 @@ class TestDicasCaching:
 class TestDicasKeys:
     def test_routing_group_uses_designated_keyword(self):
         network, protocol = make(DicasKeysProtocol)
-        assert protocol._routing_group(("kwb", "kwa")) == stable_hash("kwa") % 4
+        query = make_query(network, keywords=("kwb", "kwa"))
+        assert protocol.query_group(query) == stable_hash("kwa") % 4
 
     def test_cache_groups_cover_all_keywords(self):
         network, protocol = make(DicasKeysProtocol)
-        groups = protocol._cache_groups(("kw1", "kw2", "kw3"))
-        assert groups == {
+        response = replace(make_response(network, 3), keywords=("kw1", "kw2", "kw3"))
+        groups = {
             stable_hash(kw) % network.config.group_count
             for kw in ("kw1", "kw2", "kw3")
         }
+        for peer in network.peers:
+            assert protocol.caches_response(peer, response) == (peer.gid in groups)
 
     def test_caches_at_any_keyword_group(self):
         """The duplication the paper criticises: one response can be
         cached under several keyword groups."""
         network, protocol = make(DicasKeysProtocol)
         record = network.catalog.record(3)
-        groups = protocol._cache_groups(tuple(sorted(record.keywords)))
+        groups = keyword_groups(sorted(record.keywords), network.config.group_count)
         response = make_response(network, 3)
         cached_gids = set()
         for gid in range(network.config.group_count):
@@ -152,7 +160,8 @@ class TestDicasKeys:
         record = network.catalog.record(3)
         kws = sorted(record.keywords)
         placements = {
-            frozenset(protocol._cache_groups((kw,))) for kw in kws
+            frozenset(keyword_groups((kw,), network.config.group_count))
+            for kw in kws
         }
         # With 3 keywords and M=4 it is overwhelmingly likely at least
         # two keywords hash to different groups for some catalog file;
@@ -161,8 +170,31 @@ class TestDicasKeys:
             found_differing = False
             for fid in range(network.config.num_files):
                 kws = sorted(network.catalog.keywords(fid))
-                groups = {protocol._routing_group((kw,)) for kw in kws}
+                groups = {
+                    protocol.query_group(make_query(network, keywords=(kw,)))
+                    for kw in kws
+                }
                 if len(groups) > 1:
                     found_differing = True
                     break
             assert found_differing
+
+
+class TestIndexCounters:
+    @pytest.mark.parametrize("cls", [DicasProtocol, DicasKeysProtocol])
+    def test_refresh_is_no_insert_and_evictions_are_counted(self, cls):
+        """``index.inserts`` counts newly cached filenames only, and the
+        filename a full index displaces is counted under
+        ``index.evictions`` — the meaning Locaware's counters have."""
+        network, protocol = make(cls, index_capacity=1)
+        peer = network.peer(1)
+        responses = [
+            make_response(network, record.file_id)
+            for record in network.catalog.all_records()
+        ]
+        first, second = [r for r in responses if protocol.caches_response(peer, r)][:2]
+        for response in (first, second, second):
+            protocol.on_response_transit(peer, response)
+        assert protocol.index_of(peer).filenames() == [second.filename]
+        assert network.metrics.counter("index.inserts").value == 2
+        assert network.metrics.counter("index.evictions").value == 1

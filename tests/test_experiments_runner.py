@@ -41,11 +41,13 @@ class TestConfigs:
 
 class TestRegistry:
     def test_four_protocols_registered(self):
+        # The paper's four, plus Locaware's §6 location-aware routing variant.
         assert set(PROTOCOL_REGISTRY) == {
             "flooding",
             "dicas",
             "dicas-keys",
             "locaware",
+            "locaware-lr",
         }
         assert DEFAULT_PROTOCOL_ORDER == ("flooding", "dicas", "dicas-keys", "locaware")
 
@@ -192,21 +194,17 @@ class TestComparisonBlueprintAndPassthrough:
         assert result.runs["dicas"].outcomes == direct.outcomes
         assert result.runs["dicas"].metric_snapshot == direct.metric_snapshot
 
-    def test_comparison_location_aware_routing_passthrough(self):
+    def test_comparison_location_aware_routing_variant(self):
         config = small_config(seed=13).replace(query_rate_per_peer=0.02)
-        plain = run_comparison(
-            config, max_queries=20, bucket_width=10, protocols=("locaware",)
-        )
-        routed = run_comparison(
+        result = run_comparison(
             config,
             max_queries=20,
             bucket_width=10,
-            protocols=("locaware",),
-            location_aware_routing=True,
+            protocols=("locaware", "locaware-lr"),
         )
         assert (
-            routed.runs["locaware"].metric_snapshot
-            != plain.runs["locaware"].metric_snapshot
+            result.runs["locaware-lr"].metric_snapshot
+            != result.runs["locaware"].metric_snapshot
         )
 
 

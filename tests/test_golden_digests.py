@@ -41,10 +41,6 @@ CELLS = [
 def cell_digest(cell_id: str) -> str:
     """SHA-256 of one cell's canonical result document."""
     protocol, scenario, seed = cell_id.split("/")
-    extra = {}
-    if protocol == "locaware-lr":
-        # The §6 location-aware routing variant of Locaware.
-        protocol, extra = "locaware", {"location_aware_routing": True}
     run = run_protocol(
         small_config(seed=int(seed)),
         protocol,
@@ -52,7 +48,6 @@ def cell_digest(cell_id: str) -> str:
         BUCKET_WIDTH,
         scenario=scenario,
         collect_telemetry=False,
-        **extra,
     )
     text = json.dumps(
         run_to_document(run), sort_keys=True, separators=(",", ":"), allow_nan=False
