@@ -3,7 +3,10 @@
 ``tests/golden/protocol_digests.json`` holds, for every protocol ×
 scenario cell below on ``small_config``, the SHA-256 of the run's
 canonical result document (:func:`~repro.analysis.persistence.run_to_document`
-encoded as sorted, compact, strict JSON).  A refactor of the protocol
+encoded as sorted, compact, strict JSON).  Cells run on the default
+Euclidean latency model; a ``/router`` suffix on a cell id runs it on the
+router-level model instead, which covers the router attachment and
+landmark-measurement paths.  A refactor of the protocol
 code must leave every digest unchanged; a change that is meant to alter
 results regenerates the corpus and says so.
 
@@ -33,16 +36,21 @@ SEED = 7
 MAX_QUERIES = 200
 BUCKET_WIDTH = 50
 
+ROUTER_PROTOCOLS = ("flooding", "locaware")
+
 CELLS = [
     f"{protocol}/{scenario}/{SEED}" for protocol in PROTOCOLS for scenario in SCENARIOS
-]
+] + [f"{protocol}/baseline/{SEED}/router" for protocol in ROUTER_PROTOCOLS]
 
 
 def cell_digest(cell_id: str) -> str:
     """SHA-256 of one cell's canonical result document."""
-    protocol, scenario, seed = cell_id.split("/")
+    protocol, scenario, seed, *model = cell_id.split("/")
+    config = small_config(seed=int(seed))
+    if model:
+        config = config.replace(latency_model=model[0])
     run = run_protocol(
-        small_config(seed=int(seed)),
+        config,
         protocol,
         MAX_QUERIES,
         BUCKET_WIDTH,

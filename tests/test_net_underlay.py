@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net import EuclideanLatencyModel, Underlay
+from repro.net import EuclideanLatencyModel, RouterLevelLatencyModel, Underlay
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +88,39 @@ class TestQueries:
         random_pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(500)]
         rand = sum(underlay.rtt_ms(a, b) for a, b in random_pairs) / len(random_pairs)
         assert same < rand
+
+
+def build_underlay(model_name: str, num_landmarks: int, seed: int, num_peers: int) -> Underlay:
+    """An underlay on the named latency model, deterministic per seed."""
+    model = RouterLevelLatencyModel(random.Random(seed + 1)) if model_name == "router" else None
+    return Underlay.build(
+        num_peers, random.Random(seed), num_landmarks=num_landmarks, model=model
+    )
+
+
+def reference_locids(underlay: Underlay) -> list[int]:
+    """Every peer's locId measured point by point through the landmark set."""
+    landmarks = underlay.landmarks
+    return [landmarks.locid_of(underlay.position_of(i)) for i in range(underlay.num_peers)]
+
+
+class TestLocidOracle:
+    """The underlay's locIds equal the per-point landmark measurement."""
+
+    @pytest.mark.parametrize("num_landmarks", [4, 5])
+    @pytest.mark.parametrize("model_name", ["euclidean", "router"])
+    def test_locids_match_landmark_reference(self, model_name, num_landmarks):
+        underlay = build_underlay(model_name, num_landmarks, seed=11, num_peers=300)
+        locids = [underlay.locid_of(i) for i in range(underlay.num_peers)]
+        assert locids == reference_locids(underlay)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        model_name=st.sampled_from(["euclidean", "router"]),
+        num_landmarks=st.sampled_from([4, 5]),
+    )
+    def test_locids_match_landmark_reference_over_seeds(self, seed, model_name, num_landmarks):
+        underlay = build_underlay(model_name, num_landmarks, seed, num_peers=80)
+        locids = [underlay.locid_of(i) for i in range(underlay.num_peers)]
+        assert locids == reference_locids(underlay)
