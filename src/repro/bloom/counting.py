@@ -132,6 +132,11 @@ class CountingBloomFilter:
         this lets tests verify we stay in that regime)."""
         return max(self._counters) if self._counters else 0
 
+    def bit_int(self) -> int:
+        """The exported bit vector as one int (bit ``p`` = position ``p``
+        has a non-zero counter), as :meth:`BloomFilter.bit_int`."""
+        return self._bitvec
+
     def to_bloom_filter(self) -> BloomFilter:
         """Export the plain bit-vector view (what neighbors receive).
 

@@ -112,10 +112,10 @@ class BloomRouter:
         if not peer.alive or not self._network.graph.contains(peer_id):
             return
         state = self.state_of(peer)
+        if state.cbf.bit_int() == state.exported.bit_int():
+            return  # nothing changed since the last push
         current = state.cbf.to_bloom_filter()
         delta = self._codec.encode(state.exported, current)
-        if delta.encoded_bits == 0 and not delta.is_full:
-            return  # nothing changed since the last push
         self._network.metrics.summary("bloom.update_bits").observe(
             float(delta.encoded_bits)
         )

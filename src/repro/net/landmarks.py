@@ -143,6 +143,11 @@ class LandmarkSet:
         """Copies of the landmark coordinates."""
         return list(self._positions)
 
+    @property
+    def model(self) -> LatencyModel:
+        """The latency model a peer's RTT measurements go through."""
+        return self._model
+
     def measure_rtts(self, peer_position: Point) -> list[float]:
         """A peer's RTT (ms) to each landmark, in landmark order."""
         return [self._model.rtt_ms(peer_position, lm) for lm in self._positions]

@@ -20,7 +20,7 @@ import random
 from collections.abc import Sequence
 
 from .coordinates import Point, clustered_points, random_points
-from .landmarks import LandmarkSet
+from .landmarks import LandmarkSet, permutation_to_locid, rtt_ordering
 from .latency import EuclideanLatencyModel, LatencyModel
 
 __all__ = ["Underlay"]
@@ -29,6 +29,13 @@ __all__ = ["Underlay"]
 class Underlay:
     """Physical positions and latencies for a set of peers.
 
+    The latency model is bound once over the peers followed by the
+    landmarks, so landmark ``j`` is index ``num_peers + j`` of the bound
+    pair-latency closure.  Each peer's locId is measured through those
+    landmark slots (one nearest-router scan per peer and per landmark on
+    the router model), bit-identical to :meth:`LandmarkSet.locid_of`;
+    peer ids below ``num_peers`` never reach them.
+
     Parameters
     ----------
     positions:
@@ -36,7 +43,7 @@ class Underlay:
     model:
         Latency model shared with the landmark set.
     landmarks:
-        The deployed landmark machines.
+        The deployed landmark machines; they must measure with ``model``.
     """
 
     def __init__(
@@ -47,14 +54,30 @@ class Underlay:
     ) -> None:
         if not positions:
             raise ValueError("an underlay needs at least one peer position")
+        if landmarks.model is not model:
+            raise ValueError(
+                "the landmark set must measure with the underlay's latency model"
+            )
         self._positions = list(positions)
         self._model = model
         self._landmarks = landmarks
-        self._locids: list[int] = [landmarks.locid_of(p) for p in self._positions]
         # Per-message hot path: a bound closure over precomputed state
         # (flat coordinates / router attachment + flat distance table)
         # instead of per-call scans.  Bit-identical to the scan path.
-        self._pair_latency = model.bind(self._positions)
+        n = len(self._positions)
+        self._pair_latency = pair = model.bind([*self._positions, *landmarks.positions])
+        landmark_ids = range(n, n + landmarks.count)
+        # rtt_ms is 2 * latency_ms(peer, landmark): keep the (peer,
+        # landmark) argument order, the router table is not bit-symmetric.
+        locid_of_ordering: dict[tuple[int, ...], int] = {}
+        self._locids: list[int] = []
+        for peer in range(n):
+            rtts = [2.0 * pair(peer, lm) for lm in landmark_ids]
+            ordering = tuple(rtt_ordering(rtts))
+            locid = locid_of_ordering.get(ordering)
+            if locid is None:
+                locid = locid_of_ordering[ordering] = permutation_to_locid(ordering)
+            self._locids.append(locid)
 
     # -- construction helpers ---------------------------------------------
 

@@ -100,6 +100,13 @@ class TestBloomExport:
         cbf.add_all(["x", "y"])
         assert cbf.to_bloom_filter().set_positions() == cbf.set_positions()
 
+    def test_bit_int_matches_export(self):
+        cbf = CountingBloomFilter(1200, 4)
+        assert cbf.bit_int() == 0
+        cbf.add_all(["a", "b", "c"])
+        cbf.remove("b")
+        assert cbf.bit_int() == cbf.to_bloom_filter().bit_int()
+
     def test_counting_and_plain_agree_on_positions(self):
         """Both filter types must hash identically (delta protocol
         relies on it)."""

@@ -1,6 +1,7 @@
 """Unit tests for the Bloom router (state, pushes, routing)."""
 
 
+from repro.bloom import CountingBloomFilter, DeltaCodec
 from repro.core import BloomRouter
 from repro.overlay import P2PNetwork
 from repro.sim import SimulationConfig
@@ -72,6 +73,38 @@ class TestPropagation:
         network.sim.run(until=30.0)
         router.stop()
         assert network.metrics.counter("messages.bloom_update").value == 0
+
+    def test_clean_tick_skips_export_and_encode(self, monkeypatch):
+        network = make_network()
+        router = BloomRouter(network)
+        for peer in network.peers:
+            router.init_peer(peer)
+        calls = []
+        export = CountingBloomFilter.to_bloom_filter
+        encode = DeltaCodec.encode
+
+        def counting_export(self):
+            calls.append("export")
+            return export(self)
+
+        def counting_encode(self, old, new):
+            calls.append("encode")
+            return encode(self, old, new)
+
+        monkeypatch.setattr(CountingBloomFilter, "to_bloom_filter", counting_export)
+        monkeypatch.setattr(DeltaCodec, "encode", counting_encode)
+        sent = network.metrics.counter("messages.bloom_update")
+        router._push_updates(0)
+        assert calls == []
+        assert sent.value == 0
+        assert network.graph.neighbors(0)
+        router.filename_cached(network.peer(0), ["kw1", "kw2"])
+        router._push_updates(0)
+        assert calls == ["export", "encode"]
+        assert sent.value == len(network.graph.neighbors(0))
+        router._push_updates(0)
+        assert calls == ["export", "encode"]
+        assert sent.value == len(network.graph.neighbors(0))
 
     def test_eviction_propagates(self):
         network = make_network(period=5.0)
